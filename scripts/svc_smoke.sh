@@ -55,6 +55,14 @@ echo "   metrics exporter on port $MPORT"
 echo "== client round trips"
 "$CLIENT" --unix="$SOCK" ping
 "$CLIENT" --unix="$SOCK" ingest 1 2 2 3
+# kSnapshot reads may lag an ack by one compaction interval (docs/SERVICE.md,
+# Consistency model): wait until a published snapshot covers both edges.
+for _ in $(seq 1 100); do
+  WM=$("$CLIENT" --unix="$SOCK" stats | awk '$1 == "watermark" {print $2}')
+  [[ "${WM:-0}" -ge 2 ]] && break
+  sleep 0.1
+done
+[[ "${WM:-0}" -ge 2 ]] || { echo "snapshot watermark stuck at ${WM:-?} (< 2 acked edges)"; exit 1; }
 "$CLIENT" --unix="$SOCK" connected 1 3 | grep -qx "connected"
 "$CLIENT" --unix="$SOCK" connected 1 4 | grep -qx "not-connected"
 "$CLIENT" --unix="$SOCK" stats

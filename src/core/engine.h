@@ -51,12 +51,28 @@ void compute_vertex(const GraphT& g, JumpPolicy jump, vertex_t v, Ops ops,
 
 /// Finalization for one vertex: make parent[v] point directly at the
 /// representative (paper Fig. 9 variants).
+///
+/// Fini1 halves the path like find_intermediate, but each halving store is
+/// a CAS against the parent just read. Finalization makes no hooks, so
+/// parent values only decrease; the CAS keeps a slower thread's stale,
+/// non-root ancestor from overwriting a label that another thread has
+/// already finished as `parent[x] = root`. (The compute phase keeps plain
+/// stores: there a lost update only costs repeated work.)
 template <ParentOps Ops>
 void finalize_vertex(FinalizePolicy policy, vertex_t v, Ops ops) {
   switch (policy) {
-    case FinalizePolicy::kIntermediate:
-      ops.store(v, find_intermediate(v, ops));
+    case FinalizePolicy::kIntermediate: {
+      vertex_t par = ops.load(v);
+      vertex_t prev = v;
+      vertex_t next;
+      while (par > (next = ops.load(par))) {
+        ops.cas(prev, par, next);
+        prev = par;
+        par = next;
+      }
+      ops.store(v, par);
       return;
+    }
     case FinalizePolicy::kMultiple:
       ops.store(v, find_multiple(v, ops));
       return;

@@ -99,16 +99,21 @@ vertex_t find_intermediate(vertex_t v, Ops ops, Rec* rec = nullptr) {
 
 /// Jump2 — single pointer jumping: walk to the representative, then point
 /// only the start vertex at it.
+/// The store is decided against the parent read at the start, not a fresh
+/// re-read: if v was its own root during the walk and another thread hooks
+/// v afterwards, a re-read would see the hook and store parent[v] = v over
+/// it, splitting the component.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
 vertex_t find_single(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
-  vertex_t root = ops.load(v);
+  const vertex_t first = ops.load(v);
+  vertex_t root = first;
   vertex_t next;
   while (root > (next = ops.load(root))) {
     root = next;
     ++steps;
   }
-  if (root != ops.load(v)) ops.store(v, root);
+  if (root != first) ops.store(v, root);
   if (rec != nullptr) rec->record(steps);
   return root;
 }

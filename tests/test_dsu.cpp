@@ -10,6 +10,7 @@
 #include "dsu/find.h"
 #include "dsu/hook.h"
 #include "dsu/parent_ops.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {
@@ -133,6 +134,17 @@ TEST(FindCompression, IntermediateHalvesPath) {
   PathLengthRecorder rec;
   (void)find_intermediate(8, ops, &rec);
   EXPECT_LE(rec.max_length, 4u);
+}
+
+TEST(FindRace, SingleKeepsHookLandingAfterWalk) {
+  // Vertex 2 is its own root during find_single's walk (loads 1 and 2);
+  // another thread then hooks it to 1. The find must not decide its store
+  // on a re-read and write parent[2] = 2 over the hook.
+  std::vector<vertex_t> parent{0, 1, 2};
+  testing::ScriptedParentOps::Script hook{.after_loads = 2, .slot = 2, .value = 1};
+  testing::ScriptedParentOps ops(parent.data(), &hook);
+  EXPECT_EQ(find_single(2, ops), 2u);
+  EXPECT_EQ(parent[2], 1u);
 }
 
 TEST(PathLengthRecorder, MergeCombines) {

@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "graph/builder.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {
@@ -92,6 +93,18 @@ TEST(FinalizeVertex, AllVariantsPointDirectlyAtRoot) {
       EXPECT_EQ(parent[v], 0u) << "policy " << static_cast<int>(policy) << " vertex " << v;
     }
   }
+}
+
+TEST(FinalizeVertex, Fini1KeepsLabelFinishedByAnotherThread) {
+  // Chain 4 -> 3 -> 2 -> 1 -> 0. Finalizing 4 walks through 3; right after
+  // the third load, before the halving store parent[3] = 1, another thread
+  // finishes 3 as parent[3] = 0. The stale halving store must not land.
+  std::vector<vertex_t> parent{0, 0, 1, 2, 3};
+  testing::ScriptedParentOps::Script finish3{.after_loads = 3, .slot = 3, .value = 0};
+  testing::ScriptedParentOps ops(parent.data(), &finish3);
+  detail::finalize_vertex(FinalizePolicy::kIntermediate, 4, ops);
+  EXPECT_EQ(parent[3], 0u);
+  EXPECT_EQ(parent[4], 0u);
 }
 
 TEST(FinalizeVertex, RootStaysFixed) {

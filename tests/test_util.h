@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "dsu/parent_ops.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -61,5 +62,36 @@ inline std::vector<NamedGraph> stress_graphs() {
   graphs.push_back({"random_100k", gen_uniform_random(100000, 400000, 44)});
   return graphs;
 }
+
+/// ParentOps over a plain parent array that lands one scripted write —
+/// another thread's store or hook — right after the `after_loads`-th load.
+/// Replays a racing interleaving deterministically on one thread.
+class ScriptedParentOps {
+ public:
+  struct Script {
+    int after_loads;
+    vertex_t slot;
+    vertex_t value;
+    int loads = 0;
+  };
+
+  ScriptedParentOps(vertex_t* parent, Script* script) : parent_(parent), script_(script) {}
+
+  [[nodiscard]] vertex_t load(vertex_t i) const {
+    const vertex_t value = parent_[i];
+    if (++script_->loads == script_->after_loads) parent_[script_->slot] = script_->value;
+    return value;
+  }
+  void store(vertex_t i, vertex_t value) { parent_[i] = value; }
+  vertex_t cas(vertex_t i, vertex_t expected, vertex_t desired) {
+    return SerialParentOps(parent_).cas(i, expected, desired);
+  }
+
+ private:
+  vertex_t* parent_;
+  Script* script_;
+};
+
+static_assert(ParentOps<ScriptedParentOps>);
 
 }  // namespace ecl::testing
